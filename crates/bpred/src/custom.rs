@@ -343,28 +343,6 @@ impl CustomTrainer {
             report.metrics,
         )
     }
-
-    /// [`CustomTrainer::train_parallel_with_metrics`] warm-started from a
-    /// persistent snapshot: the farm's design cache is loaded from
-    /// `cache_file` before the batch (if the file exists; corrupt records
-    /// are skipped, never fatal) and re-persisted afterwards, so repeated
-    /// training runs across processes skip the design pipeline entirely.
-    #[must_use]
-    pub fn train_parallel_warm(
-        &self,
-        training: &BranchTrace,
-        max_customs: usize,
-        farm: &fsmgen_farm::Farm,
-        cache_file: &std::path::Path,
-    ) -> (CustomDesigns, fsmgen_farm::FarmMetrics) {
-        if cache_file.exists() {
-            // A snapshot we cannot read just means a cold start.
-            let _ = farm.load_cache_snapshot(cache_file);
-        }
-        let result = self.train_parallel_with_metrics(training, max_customs, farm);
-        let _ = farm.save_cache_snapshot(cache_file);
-        result
-    }
 }
 
 /// The result of training: per-branch designs, worst branch first, from
@@ -587,36 +565,6 @@ mod tests {
                 assert_eq!(d_s.fsm(), d_p.fsm(), "workers={workers}");
             }
         }
-    }
-
-    #[test]
-    fn warm_training_round_trips_through_a_snapshot() {
-        let trace = correlated_trace(800);
-        let trainer = CustomTrainer::new(4);
-        let dir = std::env::temp_dir().join(format!("fsmgen-bpred-warm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trainer.fsnap");
-
-        let config = || fsmgen_farm::FarmConfig {
-            workers: 2,
-            cache_capacity: 16,
-        };
-        let cold_farm = fsmgen_farm::Farm::new(config());
-        let (cold, cold_metrics) = trainer.train_parallel_warm(&trace, 2, &cold_farm, &path);
-        assert_eq!(cold_metrics.cache.snapshot_hits, 0);
-        assert!(path.exists(), "snapshot must be persisted");
-
-        let warm_farm = fsmgen_farm::Farm::new(config());
-        let (warm, warm_metrics) = trainer.train_parallel_warm(&trace, 2, &warm_farm, &path);
-        assert_eq!(warm_metrics.cache.misses, 0, "{:?}", warm_metrics.cache);
-        assert!(warm_metrics.cache.snapshot_hits > 0);
-        assert_eq!(cold.len(), warm.len());
-        for ((pc_c, d_c), (pc_w, d_w)) in cold.designs().iter().zip(warm.designs()) {
-            assert_eq!(pc_c, pc_w);
-            assert_eq!(d_c, d_w, "warm design differs for pc {pc_c:#x}");
-        }
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -190,8 +190,8 @@ pub fn design_exclusion_fsm(
 /// [`design_exclusion_fsm`] routed through a design `farm`: the reuse
 /// model is built exactly as in the serial flow, then designed as a farm
 /// job so repeated geometries and training streams hit the design cache —
-/// including warm hits from a persistent snapshot the caller loaded into
-/// the farm.
+/// including warm hits from a durable store the caller attached to the
+/// farm.
 ///
 /// # Errors
 ///
@@ -286,34 +286,36 @@ mod tests {
     fn farmed_exclusion_design_matches_serial_and_warm_starts() {
         let w = MemoryWorkload::pollution_mix();
         let train = w.generate(40_000, 1);
+        let dir = std::env::temp_dir().join(format!("fsmgen-cache-warm-{}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("exclusion.flog");
+        let store = fsmgen_farm::StoreConfig::default();
+        let config = fsmgen_farm::FarmConfig {
+            workers: 1,
+            cache_capacity: 8,
+        };
 
         let serial = design_exclusion_fsm(&train, &Cache::embedded_8k(), 4)
             .expect("reuse stream is long enough");
-        let farm = fsmgen_farm::Farm::new(fsmgen_farm::FarmConfig {
-            workers: 1,
-            cache_capacity: 8,
-        });
+        let farm = fsmgen_farm::Farm::new(config);
+        farm.attach_store(&path, store).expect("store opens");
         let farmed = design_exclusion_fsm_farmed(&train, &Cache::embedded_8k(), 4, &farm)
             .expect("farmed design succeeds");
         assert_eq!(serial.fsm(), farmed.fsm(), "farmed flow must match serial");
+        drop(farm);
 
-        // Round-trip through a snapshot: a second farm serves the same
-        // design warm, without redesigning.
-        let dir = std::env::temp_dir().join(format!("fsmgen-cache-warm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("exclusion.fsnap");
-        farm.save_cache_snapshot(&path).expect("snapshot saves");
-
-        let warm_farm = fsmgen_farm::Farm::new(fsmgen_farm::FarmConfig {
-            workers: 1,
-            cache_capacity: 8,
-        });
-        warm_farm
-            .load_cache_snapshot(&path)
-            .expect("snapshot loads");
+        // Round-trip through the durable store: a second farm serves the
+        // same design warm, without redesigning.
+        let warm_farm = fsmgen_farm::Farm::new(config);
+        let recovered = warm_farm.attach_store(&path, store).expect("store reopens");
+        assert_eq!(recovered.recovered, 1);
         let warm = design_exclusion_fsm_farmed(&train, &Cache::embedded_8k(), 4, &warm_farm)
             .expect("warm design succeeds");
         assert_eq!(serial.fsm(), warm.fsm(), "warm flow must match serial");
+        assert_eq!(warm_farm.cache_stats().snapshot_hits, 1, "served warm");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

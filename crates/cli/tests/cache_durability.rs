@@ -5,7 +5,7 @@
 //! tail in place, and `cache gc` must migrate a legacy snapshot file.
 
 use fsmgen::Designer;
-use fsmgen_farm::{write_snapshot_file, SNAPSHOT_MAGIC, STORE_MAGIC};
+use fsmgen_farm::{encode_snapshot, SNAPSHOT_MAGIC, STORE_MAGIC};
 use fsmgen_traces::BitTrace;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -143,7 +143,7 @@ fn gc_migrates_a_legacy_snapshot_to_the_log_format() {
     let dir = tmpdir("legacy");
     let store = dir.join("legacy.fsnap");
 
-    // A genuine snapshot-v1 file, as PR 4 wrote them.
+    // A genuine snapshot-v1 file, from the frozen reference encoder.
     let trace: BitTrace = "0000 1000 1011 1101 1110 1111".parse().expect("trace");
     let designs: Vec<_> = [2usize, 3]
         .iter()
@@ -153,12 +153,14 @@ fn gc_migrates_a_legacy_snapshot_to_the_log_format() {
                 .expect("local design")
         })
         .collect();
-    write_snapshot_file(
+    std::fs::write(
         &store,
-        designs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i as u64 + 1, 0u64, d)),
+        encode_snapshot(
+            designs
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (i as u64 + 1, 0u64, d)),
+        ),
     )
     .expect("write legacy snapshot");
     let bytes = std::fs::read(&store).expect("snapshot");

@@ -1,8 +1,8 @@
 //! Cross-process persistence: two separate `fsmgen farm` invocations
-//! sharing a `--cache-file` snapshot. The second (warm) process must be
-//! served almost entirely from the snapshot and must produce byte-identical
-//! machine-table artifacts, and a deliberately corrupted snapshot must be
-//! skipped gracefully — never a crash.
+//! sharing a `--cache-file` store. The second (warm) process must be
+//! served almost entirely from the store and must produce byte-identical
+//! machine-table artifacts, and a deliberately corrupted store record
+//! must be skipped gracefully — never a crash.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,7 +20,7 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs one `fsmgen farm` pass against a shared snapshot, returning the
+/// Runs one `fsmgen farm` pass against a shared store, returning the
 /// parsed-out metrics JSON text.
 fn run_farm(dir: &Path, pass: &str) -> String {
     let metrics = dir.join(format!("metrics-{pass}.json"));

@@ -130,7 +130,7 @@ fn cli_serve_and_client_round_trip_matches_local_design() {
     );
 
     server.shutdown();
-    assert!(cache_file.exists(), "shutdown must persist the snapshot");
+    assert!(cache_file.exists(), "shutdown must persist the store");
 
     // Warm restart: the same design must now be a cache hit.
     let warm = ServerProc::spawn(&["--cache-file", cache_flag]);

@@ -21,9 +21,11 @@
 //! scope for single-threaded pipeline tests, which may run concurrently in
 //! one test binary. Multi-threaded consumers (the farm's worker pool)
 //! never run pipeline stages on the configuring thread, so a second,
-//! process-wide registry exists: [`configure_global`] /
-//! [`clear_global`] arm failpoints visible from *every* thread. [`fire`]
-//! consults the thread-local registry first, then the global one; a
+//! process-wide registry exists: [`configure_global`] arms failpoints
+//! visible from *every* thread, [`disarm_global`] removes one stage and
+//! [`clear_global`] removes them all. Concurrent users of the global
+//! registry (tests in one binary) should disarm only their own stages.
+//! [`fire`] consults the thread-local registry first, then the global one; a
 //! counted global failpoint decrements atomically under its lock, so
 //! `count = 1` fires on exactly one worker across the whole process.
 //!
@@ -193,6 +195,12 @@ mod enabled {
         with_global(Vec::clear);
     }
 
+    /// Disarms the process-wide failpoint for `stage` only, leaving
+    /// every other stage armed.
+    pub fn disarm_global(stage: &str) {
+        with_global(|reg| reg.retain(|fp| fp.stage != stage));
+    }
+
     fn consume(reg: &mut [Failpoint], stage: &str) -> Option<FailAction> {
         let fp = reg.iter_mut().find(|fp| fp.stage == stage)?;
         match &mut fp.remaining {
@@ -219,7 +227,7 @@ mod enabled {
 #[cfg(feature = "failpoints")]
 pub use enabled::{
     clear, clear_global, configure, configure_from_spec, configure_from_spec_global,
-    configure_global, fire,
+    configure_global, disarm_global, fire,
 };
 
 #[cfg(not(feature = "failpoints"))]
@@ -257,6 +265,9 @@ mod disabled {
     /// No-op: the `failpoints` feature is disabled.
     pub fn clear_global() {}
 
+    /// No-op: the `failpoints` feature is disabled.
+    pub fn disarm_global(_stage: &str) {}
+
     /// Always `None`: the `failpoints` feature is disabled.
     #[must_use]
     pub fn fire(_stage: &str) -> Option<FailAction> {
@@ -267,7 +278,7 @@ mod disabled {
 #[cfg(not(feature = "failpoints"))]
 pub use disabled::{
     clear, clear_global, configure, configure_from_spec, configure_from_spec_global,
-    configure_global, fire,
+    configure_global, disarm_global, fire,
 };
 
 #[cfg(all(test, feature = "failpoints"))]
@@ -332,7 +343,7 @@ mod tests {
         assert_eq!(seen, Some(FailAction::Error));
         assert_eq!(fire("global-smoke"), Some(FailAction::Error));
         assert_eq!(fire("global-smoke"), None);
-        clear_global();
+        disarm_global("global-smoke");
     }
 
     #[test]
@@ -343,7 +354,18 @@ mod tests {
             .expect("worker thread");
         assert_eq!(seen, Some(FailAction::BudgetExceeded));
         assert_eq!(fire("global-spec-smoke"), None);
-        clear_global();
+        disarm_global("global-spec-smoke");
+    }
+
+    #[test]
+    fn disarm_global_leaves_other_stages_armed() {
+        configure_global("disarm-keep", FailAction::Error, None);
+        configure_global("disarm-drop", FailAction::Error, None);
+        disarm_global("disarm-drop");
+        assert_eq!(fire("disarm-drop"), None);
+        assert_eq!(fire("disarm-keep"), Some(FailAction::Error));
+        disarm_global("disarm-keep");
+        assert_eq!(fire("disarm-keep"), None);
     }
 
     #[test]

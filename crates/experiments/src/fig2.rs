@@ -55,9 +55,6 @@ pub struct Fig2Config {
     pub histories: Vec<usize>,
     /// Probability thresholds sweeping each FSM curve.
     pub thresholds: Vec<f64>,
-    /// Persistent design-cache snapshot warm-starting the FSM batches
-    /// across runs (`None` runs cold).
-    pub cache_file: Option<std::path::PathBuf>,
 }
 
 impl Default for Fig2Config {
@@ -66,7 +63,6 @@ impl Default for Fig2Config {
             trace_len: 60_000,
             histories: vec![2, 4, 6, 8, 10],
             thresholds: vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99],
-            cache_file: None,
         }
     }
 }
@@ -79,7 +75,6 @@ impl Fig2Config {
             trace_len: 12_000,
             histories: vec![2, 4],
             thresholds: vec![0.5, 0.8, 0.95],
-            cache_file: None,
         }
     }
 }
@@ -157,9 +152,7 @@ pub fn run_panel(bench: ValueBenchmark, config: &Fig2Config) -> Fig2Panel {
         }
     }
     let farm = Farm::new(FarmConfig::default());
-    let report = crate::profiling::with_cache_snapshot(&farm, config.cache_file.as_deref(), || {
-        farm.design_batch(jobs)
-    });
+    let report = farm.design_batch(jobs);
     let farm_stats = FarmRunStats::from(&report.metrics);
 
     let mut fsm: BTreeMap<usize, Vec<ConfidencePoint>> =

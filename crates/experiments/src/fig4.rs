@@ -58,9 +58,6 @@ pub struct Fig4Config {
     /// History lengths sampled (varying history varies machine size, like
     /// the paper's population of generated predictors).
     pub histories: Vec<usize>,
-    /// Persistent design-cache snapshot warm-starting the sweep across
-    /// runs (`None` runs cold).
-    pub cache_file: Option<std::path::PathBuf>,
 }
 
 impl Default for Fig4Config {
@@ -69,7 +66,6 @@ impl Default for Fig4Config {
             trace_len: 40_000,
             fsms_per_benchmark: 8,
             histories: vec![3, 5, 7, 9],
-            cache_file: None,
         }
     }
 }
@@ -82,7 +78,6 @@ impl Fig4Config {
             trace_len: 8_000,
             fsms_per_benchmark: 3,
             histories: vec![3, 5],
-            cache_file: None,
         }
     }
 }
@@ -96,30 +91,28 @@ pub fn run(config: &Fig4Config) -> Fig4Result {
     // models hit the design cache, and the metrics accumulate per batch.
     let farm = Farm::new(FarmConfig::default());
     let mut farm_stats = FarmRunStats::default();
-    crate::profiling::with_cache_snapshot(&farm, config.cache_file.as_deref(), || {
-        for bench in BranchBenchmark::ALL {
-            let trace = bench.trace(Input::TRAIN, config.trace_len);
-            for &h in &config.histories {
-                let (designs, metrics) = CustomTrainer::new(h).train_parallel_with_metrics(
-                    &trace,
-                    config.fsms_per_benchmark,
-                    &farm,
-                );
-                farm_stats.accumulate(&metrics);
-                for (pc, design) in designs.designs() {
-                    let fsm = design.fsm();
-                    let est = synthesize_area(fsm, Encoding::Binary);
-                    samples.push(AreaSample {
-                        benchmark: bench.name().to_string(),
-                        pc: *pc,
-                        history: h,
-                        states: fsm.num_states(),
-                        area: est.area,
-                    });
-                }
+    for bench in BranchBenchmark::ALL {
+        let trace = bench.trace(Input::TRAIN, config.trace_len);
+        for &h in &config.histories {
+            let (designs, metrics) = CustomTrainer::new(h).train_parallel_with_metrics(
+                &trace,
+                config.fsms_per_benchmark,
+                &farm,
+            );
+            farm_stats.accumulate(&metrics);
+            for (pc, design) in designs.designs() {
+                let fsm = design.fsm();
+                let est = synthesize_area(fsm, Encoding::Binary);
+                samples.push(AreaSample {
+                    benchmark: bench.name().to_string(),
+                    pc: *pc,
+                    history: h,
+                    states: fsm.num_states(),
+                    area: est.area,
+                });
             }
         }
-    });
+    }
     let points: Vec<(usize, f64)> = samples.iter().map(|s| (s.states, s.area)).collect();
     let model = LinearAreaModel::fit(&points);
     Fig4Result {
@@ -146,29 +139,6 @@ mod tests {
         // Farm-backed: every sample came from a farm design job.
         assert!(result.farm.jobs >= result.samples.len());
         assert!(result.farm.wall_ms > 0.0);
-    }
-
-    #[test]
-    fn warm_rerun_is_served_from_the_snapshot_with_identical_samples() {
-        let dir = std::env::temp_dir().join(format!("fsmgen-fig4-warm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let config = Fig4Config {
-            cache_file: Some(dir.join("fig4.fsnap")),
-            ..Fig4Config::quick()
-        };
-
-        let cold = run(&config);
-        assert_eq!(cold.farm.snapshot_hits, 0);
-        let warm = run(&config);
-        assert!(
-            warm.farm.snapshot_hits > 0,
-            "warm rerun must hit the snapshot: {:?}",
-            warm.farm
-        );
-        assert_eq!(warm.farm.snapshot_skipped, 0);
-        assert_eq!(cold.samples, warm.samples, "samples must be identical");
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -67,9 +67,6 @@ pub struct Fig5Config {
     pub lgc_sizes: Vec<(usize, usize, usize)>,
     /// The fitted area-per-state line from the Figure 4 experiment.
     pub area_model: LinearAreaModel,
-    /// Persistent design-cache snapshot warm-starting the training
-    /// batches across runs (`None` runs cold).
-    pub cache_file: Option<std::path::PathBuf>,
 }
 
 impl Default for Fig5Config {
@@ -84,7 +81,6 @@ impl Default for Fig5Config {
                 slope: 10.0,
                 intercept: 8.0,
             },
-            cache_file: None,
         }
     }
 }
@@ -166,16 +162,12 @@ pub fn run_panel(bench: BranchBenchmark, config: &Fig5Config) -> Fig5Panel {
     let farm = Farm::new(FarmConfig::default());
     let mut farm_stats = FarmRunStats::default();
     let trainer = CustomTrainer::new(config.history);
-    let (designs_diff, designs_same) =
-        crate::profiling::with_cache_snapshot(&farm, config.cache_file.as_deref(), || {
-            let (designs_diff, metrics_diff) =
-                trainer.train_parallel_with_metrics(&train, config.max_customs, &farm);
-            farm_stats.accumulate(&metrics_diff);
-            let (designs_same, metrics_same) =
-                trainer.train_parallel_with_metrics(&eval, config.max_customs, &farm);
-            farm_stats.accumulate(&metrics_same);
-            (designs_diff, designs_same)
-        });
+    let (designs_diff, metrics_diff) =
+        trainer.train_parallel_with_metrics(&train, config.max_customs, &farm);
+    farm_stats.accumulate(&metrics_diff);
+    let (designs_same, metrics_same) =
+        trainer.train_parallel_with_metrics(&eval, config.max_customs, &farm);
+    farm_stats.accumulate(&metrics_same);
 
     // Time the widest custom architecture on each backend; accuracy is
     // backend-independent (differentially tested bit-identical).

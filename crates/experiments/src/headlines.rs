@@ -136,7 +136,6 @@ pub fn run(config: &HeadlineConfig) -> Vec<Headline> {
             trace_len: len.min(40_000),
             histories: vec![4, 8, 10],
             thresholds: vec![0.5, 0.7, 0.9],
-            cache_file: None,
         },
     );
     let sud = best_coverage_at_accuracy(&panel.sud, 0.78).unwrap_or(0.0);

@@ -56,14 +56,10 @@ pub struct FarmRunStats {
     pub succeeded: usize,
     /// Jobs whose design degraded.
     pub degraded: usize,
-    /// Design-cache hits against entries computed in this process.
+    /// Design-cache hits across all batches.
     pub cache_hits: usize,
-    /// Design-cache hits served warm from a persistent snapshot.
-    pub snapshot_hits: usize,
     /// Design-cache misses across all batches.
     pub cache_misses: usize,
-    /// Snapshot records skipped as corrupt while warm-starting.
-    pub snapshot_skipped: usize,
     /// Summed batch wall clock in milliseconds.
     pub wall_ms: f64,
 }
@@ -127,22 +123,18 @@ impl FarmRunStats {
         self.succeeded += metrics.succeeded;
         self.degraded += metrics.degraded;
         self.cache_hits += metrics.cache.hits as usize;
-        self.snapshot_hits += metrics.cache.snapshot_hits as usize;
         self.cache_misses += metrics.cache.misses as usize;
-        self.snapshot_skipped += metrics.snapshot.skipped;
         self.wall_ms += metrics.batch_wall.as_secs_f64() * 1e3;
     }
 
-    /// Cache hit rate across all batches (fresh and warm hits both
-    /// count), 0.0 when nothing was looked up.
+    /// Cache hit rate across all batches, 0.0 when nothing was looked up.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits + self.snapshot_hits;
-        let lookups = hits + self.cache_misses;
+        let lookups = self.cache_hits + self.cache_misses;
         if lookups == 0 {
             0.0
         } else {
-            hits as f64 / lookups as f64
+            self.cache_hits as f64 / lookups as f64
         }
     }
 
@@ -161,39 +153,13 @@ impl FarmRunStats {
     /// `farm: 12 jobs, 33.3% cache hits, 450.0 jobs/s`.
     #[must_use]
     pub fn summary_line(&self) -> String {
-        let warm = if self.snapshot_hits > 0 {
-            format!(" ({} warm)", self.snapshot_hits)
-        } else {
-            String::new()
-        };
         format!(
-            "farm: {} jobs, {:.1}% cache hits{warm}, {:.1} jobs/s",
+            "farm: {} jobs, {:.1}% cache hits, {:.1} jobs/s",
             self.jobs,
             100.0 * self.cache_hit_rate(),
             self.throughput_jobs_per_sec()
         )
     }
-}
-
-/// Warm-starts `farm` from `cache_file` (when set and present) before
-/// running `f`, then persists the design cache back afterwards. A missing
-/// or corrupt snapshot just means a cold start — never an error — which
-/// lets the figure drivers treat persistence as a pure accelerator.
-pub fn with_cache_snapshot<R>(
-    farm: &fsmgen_farm::Farm,
-    cache_file: Option<&std::path::Path>,
-    f: impl FnOnce() -> R,
-) -> R {
-    if let Some(path) = cache_file {
-        if path.exists() {
-            let _ = farm.load_cache_snapshot(path);
-        }
-    }
-    let result = f();
-    if let Some(path) = cache_file {
-        let _ = farm.save_cache_snapshot(path);
-    }
-    result
 }
 
 impl From<&FarmMetrics> for FarmRunStats {
@@ -257,9 +223,7 @@ mod tests {
             succeeded: 4,
             degraded: 0,
             cache_hits: 1,
-            snapshot_hits: 0,
             cache_misses: 3,
-            snapshot_skipped: 0,
             wall_ms: 10.0,
         };
         let more = FarmRunStats {
@@ -267,9 +231,7 @@ mod tests {
             succeeded: 1,
             degraded: 1,
             cache_hits: 1,
-            snapshot_hits: 0,
             cache_misses: 1,
-            snapshot_skipped: 0,
             wall_ms: 10.0,
         };
         // Accumulate via a round-trip through FarmMetrics is covered in

@@ -11,11 +11,9 @@
 //! The map is a classic intrusive LRU: a slab of entries doubly linked in
 //! recency order plus a fingerprint index, so `get` and `insert` are O(1).
 
-use crate::snapshot::{read_snapshot_file, write_snapshot_file, SnapshotError};
 use fsmgen::Design;
 use fsmgen_exec::CompiledMachine;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Sentinel for "no neighbour" in the intrusive list.
@@ -25,15 +23,15 @@ struct Entry {
     key: u64,
     design: Arc<Design>,
     /// The design's machine lowered to a dense transition table, done
-    /// once at insert so every hit — including warm snapshot/store
-    /// restores — hands back a ready-to-run artifact. `None` only for
+    /// once at insert so every hit — including warm store restores —
+    /// hands back a ready-to-run artifact. `None` only for
     /// machines beyond the table limit (not producible by the designer).
     compiled: Option<Arc<CompiledMachine>>,
     /// The producing job's independent verification digest (0 for entries
     /// inserted through the plain [`DesignCache::insert`]).
     verify: u64,
-    /// `true` when the entry came from a persistent snapshot rather than
-    /// being computed in this process. Warm entries are re-verified on
+    /// `true` when the entry was restored from the durable store rather
+    /// than being computed in this process. Warm entries are re-verified on
     /// lookup; fresh ones are trusted.
     warm: bool,
     prev: usize,
@@ -45,7 +43,8 @@ struct Entry {
 pub struct CacheStats {
     /// Lookups that found a design computed in this process.
     pub hits: u64,
-    /// Lookups that found a design restored from a persistent snapshot.
+    /// Lookups that found a design restored from the durable store (a
+    /// warm entry; the name is kept for the metrics JSON).
     pub snapshot_hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
@@ -53,15 +52,14 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Designs evicted by the LRU bound.
     pub evictions: u64,
-    /// Snapshot records rejected: skipped at load (corrupt or truncated)
-    /// plus warm entries whose verification digest did not match at lookup.
+    /// Warm entries whose verification digest did not match at lookup.
     pub stale: u64,
     /// Designs lowered to compiled transition tables at insert time.
     pub compiled: u64,
 }
 
 impl CacheStats {
-    /// Hits (in-memory and snapshot) over total lookups, or 0.0 before any
+    /// Hits (in-memory and warm) over total lookups, or 0.0 before any
     /// lookup.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -75,13 +73,14 @@ impl CacheStats {
     }
 }
 
-/// What a snapshot load did: how many designs were restored into the
-/// cache and how many stored records were rejected.
+/// What warm-starting from the durable store did: how many designs were
+/// restored into the cache and how many stored records were rejected.
+/// Rendered as the `snapshot` block of the farm metrics JSON.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotLoadReport {
     /// Records decoded and inserted as warm entries.
     pub loaded: usize,
-    /// Records skipped for corruption, truncation or decode failure.
+    /// Records skipped for corruption or decode failure.
     pub skipped: usize,
 }
 
@@ -166,7 +165,7 @@ impl DesignCache {
 
     /// Looks up a design by fingerprint, marking it most recently used.
     /// In-memory entries count as [`CacheStats::hits`]; warm
-    /// (snapshot-restored) entries count as [`CacheStats::snapshot_hits`]
+    /// (store-restored) entries count as [`CacheStats::snapshot_hits`]
     /// but are *not* re-verified — use [`DesignCache::get_verified`] when
     /// the caller knows the job's verification digest.
     pub fn get(&mut self, key: u64) -> Option<Arc<Design>> {
@@ -218,12 +217,12 @@ impl DesignCache {
     }
 
     /// [`DesignCache::insert`] carrying the job's verification digest, so
-    /// the entry can be re-verified after a snapshot round-trip.
+    /// the entry can be re-verified after a store round-trip.
     pub fn insert_verified(&mut self, key: u64, verify: u64, design: Arc<Design>) {
         self.insert_entry(key, verify, design, false);
     }
 
-    /// Inserts a snapshot-restored design: served as
+    /// Inserts a store-restored design: served as
     /// [`CacheStats::snapshot_hits`] and re-verified by
     /// [`DesignCache::get_verified`].
     pub fn insert_warm(&mut self, key: u64, verify: u64, design: Arc<Design>) {
@@ -282,58 +281,6 @@ impl DesignCache {
         self.index
             .get(&key)
             .and_then(|&slot| self.slab[slot].compiled.clone())
-    }
-
-    /// Visits every cached design from most to least recently used, as
-    /// `(fingerprint, verify, design)` triples — the order snapshots are
-    /// written in, so a bounded reload keeps the hottest entries.
-    pub fn iter_mru(&self) -> impl Iterator<Item = (u64, u64, &Design)> {
-        let mut slot = self.head;
-        std::iter::from_fn(move || {
-            if slot == NONE {
-                return None;
-            }
-            let e = &self.slab[slot];
-            slot = e.next;
-            Some((e.key, e.verify, &*e.design))
-        })
-    }
-
-    /// Writes the cache contents to `path` in snapshot format, most
-    /// recently used first, via a temporary file and an atomic rename.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Io`] when the file cannot be written.
-    pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_snapshot_file(path, self.iter_mru())
-    }
-
-    /// Loads a snapshot file into the cache as warm entries, preserving
-    /// the stored recency order (up to this cache's capacity bound — the
-    /// most recently used records win).
-    ///
-    /// Corrupt records are skipped, counted in the returned report and in
-    /// [`CacheStats::stale`]; they never abort the load.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] only for whole-file problems: I/O
-    /// failure, bad magic, unsupported version or a truncated header. The
-    /// caller should treat that as "start cold".
-    pub fn load_snapshot(&mut self, path: &Path) -> Result<SnapshotLoadReport, SnapshotError> {
-        let decoded = read_snapshot_file(path)?;
-        // Records are stored most-recent-first; inserting in reverse keeps
-        // the stored recency (the last insert becomes the cache's MRU).
-        let loaded = decoded.records.len();
-        for rec in decoded.records.into_iter().rev() {
-            self.insert_warm(rec.fingerprint, rec.verify, rec.design);
-        }
-        self.stats.stale += decoded.skipped as u64;
-        Ok(SnapshotLoadReport {
-            loaded,
-            skipped: decoded.skipped,
-        })
     }
 
     fn evict_lru(&mut self) {
@@ -479,65 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_preserves_entries_and_recency() {
-        let dir = std::env::temp_dir().join(format!("fsmgen-cache-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.fsnap");
-
-        let mut cache = DesignCache::new(8);
-        let d = design();
-        for k in 1..=4u64 {
-            cache.insert_verified(k, k * 10, Arc::clone(&d));
-        }
-        let _ = cache.get(1); // 1 becomes MRU: order 1, 4, 3, 2
-        cache.save_snapshot(&path).unwrap();
-
-        let mut warm = DesignCache::new(8);
-        let report = warm.load_snapshot(&path).unwrap();
-        assert_eq!(
-            report,
-            SnapshotLoadReport {
-                loaded: 4,
-                skipped: 0
-            }
-        );
-        let order: Vec<u64> = warm.iter_mru().map(|(k, _, _)| k).collect();
-        assert_eq!(order, vec![1, 4, 3, 2]);
-        let verifies: Vec<u64> = warm.iter_mru().map(|(_, v, _)| v).collect();
-        assert_eq!(verifies, vec![10, 40, 30, 20]);
-        // Warm entries serve with a matching digest…
-        assert!(warm.get_verified(1, 10).is_some());
-        assert_eq!(warm.stats().snapshot_hits, 1);
-        // …and the restored design is the one we saved.
-        assert_eq!(*warm.get(2).unwrap(), *d);
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bounded_load_keeps_most_recent_records() {
-        let dir = std::env::temp_dir().join(format!("fsmgen-cache-bound-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.fsnap");
-
-        let mut cache = DesignCache::new(8);
-        let d = design();
-        for k in 1..=6u64 {
-            cache.insert_verified(k, 0, Arc::clone(&d));
-        }
-        cache.save_snapshot(&path).unwrap();
-
-        // A smaller cache keeps the hottest (most recently used) records.
-        let mut warm = DesignCache::new(2);
-        let report = warm.load_snapshot(&path).unwrap();
-        assert_eq!(report.loaded, 6);
-        let order: Vec<u64> = warm.iter_mru().map(|(k, _, _)| k).collect();
-        assert_eq!(order, vec![6, 5]);
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn designs_compile_at_insert() {
         let mut cache = DesignCache::new(4);
         let d = design();
@@ -545,7 +433,7 @@ mod tests {
         let compiled = cache.compiled_of(1).unwrap();
         assert_eq!(compiled.num_states() as usize, d.fsm().num_states());
         assert_eq!(cache.stats().compiled, 1);
-        // Warm (snapshot-restored) inserts compile too: a warm hit hands
+        // Warm (store-restored) inserts compile too: a warm hit hands
         // back a ready table, not a machine still to lower.
         cache.insert_warm(2, 9, Arc::clone(&d));
         assert!(cache.compiled_of(2).is_some());

@@ -7,7 +7,6 @@ use crate::events::{EventSink, FarmEvent, NullSink};
 use crate::job::{DesignJob, JobInput};
 use crate::metrics::FarmMetrics;
 use crate::pool;
-use crate::snapshot::SnapshotError;
 use crate::store::{
     CompactPolicy, CompactReport, DesignStore, StoreConfig, StoreError, StoreRecord, StoreStats,
 };
@@ -137,8 +136,9 @@ struct CacheState {
     /// worker hitting a pending fingerprint waits for the computer and
     /// takes the cached result instead of duplicating the design run.
     pending: std::collections::HashSet<u64>,
-    /// Accumulated persistent-snapshot load accounting, copied into every
-    /// batch's metrics so warm-start provenance shows up in reports.
+    /// Accumulated store warm-start accounting, copied into every batch's
+    /// metrics (as the `snapshot` block) so warm-start provenance shows up
+    /// in reports.
     snapshot_load: SnapshotLoadReport,
     /// The durable log-structured store, when one is attached: every
     /// computed design is appended at its cache-publish point. The handle
@@ -223,72 +223,17 @@ impl Farm {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Warm-starts the farm's cache from a persistent snapshot file.
+    /// Attaches a durable log-structured store at `path`, running crash
+    /// recovery and warm-starting the cache from the recovered records.
+    /// This is how a farm persists designs and starts warm.
     ///
     /// Every restored design becomes a warm entry: it is served only after
     /// its stored verification digest matches the requesting job's
     /// [`verify_hash`](DesignJob::verify_hash), so a cross-process
     /// fingerprint collision degrades to a recompute instead of a wrong
-    /// design. Corrupt records are skipped and counted (surfacing as
-    /// `stale` in the batch metrics), never fatal.
-    ///
-    /// The load is reported as a `cache_snapshot_load` span with
-    /// `loaded`/`skipped` counters on the ambient obs sink, and as a
-    /// [`FarmEvent::SnapshotLoaded`] on the farm's event sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError`] only for whole-file problems (missing or
-    /// unreadable file, bad magic, unsupported version, truncated header);
-    /// callers should log it and continue cold.
-    pub fn load_cache_snapshot(&self, path: &Path) -> Result<SnapshotLoadReport, SnapshotError> {
-        let _span = obs::span("cache_snapshot_load");
-        let report = {
-            let mut state = self.lock_state();
-            let report = state.cache.load_snapshot(path)?;
-            state.snapshot_load.loaded += report.loaded;
-            state.snapshot_load.skipped += report.skipped;
-            report
-        };
-        obs::counter("cache_snapshot_load", "loaded", report.loaded as u64);
-        obs::counter("cache_snapshot_load", "skipped", report.skipped as u64);
-        self.sink.record(&FarmEvent::SnapshotLoaded {
-            path: path.display().to_string(),
-            loaded: report.loaded,
-            skipped: report.skipped,
-        });
-        Ok(report)
-    }
-
-    /// Writes the farm's cache to a persistent snapshot file (most
-    /// recently used designs first), atomically, returning the record
-    /// count. Reported as a `cache_snapshot_save` span with a `records`
-    /// counter and a [`FarmEvent::SnapshotSaved`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Io`] when the file cannot be written.
-    pub fn save_cache_snapshot(&self, path: &Path) -> Result<usize, SnapshotError> {
-        let _span = obs::span("cache_snapshot_save");
-        let records = {
-            let state = self.lock_state();
-            state.cache.save_snapshot(path)?;
-            state.cache.len()
-        };
-        obs::counter("cache_snapshot_save", "records", records as u64);
-        self.sink.record(&FarmEvent::SnapshotSaved {
-            path: path.display().to_string(),
-            records,
-        });
-        Ok(records)
-    }
-
-    /// Attaches a durable log-structured store at `path`, running crash
-    /// recovery and warm-starting the cache from the recovered records
-    /// (which are re-verified per lookup exactly like snapshot entries,
-    /// and count into the `snapshot` load accounting so warm-start
-    /// provenance is format-agnostic). Once attached, every design the
-    /// farm computes is appended to the log at its cache-publish point.
+    /// design. Restores count into the `snapshot` load accounting of the
+    /// batch metrics. Once attached, every design the farm computes is
+    /// appended to the log at its cache-publish point.
     ///
     /// Missing files become fresh stores; legacy snapshot files migrate
     /// in place; torn tails are truncated (see
@@ -971,69 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_warm_start_serves_without_computing() {
-        let dir = std::env::temp_dir().join(format!("fsmgen-farm-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.fsnap");
-        let trace = paper_trace();
-        let job = || DesignJob::from_trace(0, Arc::clone(&trace), Designer::new(2));
-
-        // Cold farm: compute, then persist.
-        let cold = Farm::new(FarmConfig {
-            workers: 1,
-            cache_capacity: 16,
-        });
-        let cold_report = cold.design_batch(vec![job()]);
-        let cold_design = cold_report.design(0).unwrap();
-        assert_eq!(cold.save_cache_snapshot(&path).unwrap(), 1);
-
-        // Warm farm: load, then the same job is a snapshot hit.
-        let sink = Arc::new(CollectingSink::new());
-        let warm = Farm::with_sink(
-            FarmConfig {
-                workers: 1,
-                cache_capacity: 16,
-            },
-            Arc::clone(&sink) as Arc<dyn EventSink>,
-        );
-        let loaded = warm.load_cache_snapshot(&path).unwrap();
-        assert_eq!((loaded.loaded, loaded.skipped), (1, 0));
-        let warm_report = warm.design_batch(vec![job()]);
-        assert!(warm_report.outcomes[0].cache_hit);
-        assert_eq!(warm_report.metrics.cache.snapshot_hits, 1);
-        assert_eq!(warm_report.metrics.cache.hits, 0);
-        assert_eq!(warm_report.metrics.cache.misses, 0);
-        assert_eq!(warm_report.metrics.snapshot.loaded, 1);
-        // The restored design is bit-identical to the cold one.
-        assert_eq!(**warm_report.design(0).unwrap(), **cold_design);
-        // The load showed up on the event sink.
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, FarmEvent::SnapshotLoaded { loaded: 1, .. })));
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_snapshot_file_reports_error_and_farm_stays_usable() {
-        let farm = Farm::new(FarmConfig {
-            workers: 1,
-            cache_capacity: 8,
-        });
-        let err = farm
-            .load_cache_snapshot(Path::new("/nonexistent/cache.fsnap"))
-            .unwrap_err();
-        assert!(matches!(err, SnapshotError::Io(_)));
-        let report = farm.design_batch(vec![DesignJob::from_trace(
-            0,
-            paper_trace(),
-            Designer::new(2),
-        )]);
-        assert_eq!(report.metrics.succeeded, 1);
-    }
-
-    #[test]
     fn store_append_on_insert_survives_restart() {
         let dir = std::env::temp_dir().join(format!("fsmgen-farm-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1088,6 +970,45 @@ mod tests {
             .unwrap();
         assert_eq!(report.kept, 1);
         assert!(warm.store_stats().is_some());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bounded_attach_keeps_most_recent_records() {
+        let dir = std::env::temp_dir().join(format!("fsmgen-farm-bound-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("designs.flog");
+        let _ = std::fs::remove_file(&path);
+        let trace = paper_trace();
+        let job = |history| DesignJob::from_trace(0, Arc::clone(&trace), Designer::new(history));
+        let histories = 2..=7usize;
+
+        // Six records, appended oldest (h2) to newest (h7).
+        let cold = Farm::new(FarmConfig {
+            workers: 1,
+            cache_capacity: 8,
+        });
+        cold.attach_store(&path, StoreConfig::default()).unwrap();
+        for h in histories.clone() {
+            assert_eq!(cold.design_batch(vec![job(h)]).metrics.succeeded, 1);
+        }
+        drop(cold);
+
+        // A capacity-2 farm replays all six and keeps the two newest.
+        let warm = Farm::new(FarmConfig {
+            workers: 1,
+            cache_capacity: 2,
+        });
+        let stats = warm.attach_store(&path, StoreConfig::default()).unwrap();
+        assert_eq!(stats.recovered, 6);
+        let newest = warm.design_batch(vec![job(6), job(7)]);
+        assert_eq!(newest.metrics.snapshot.loaded, 6);
+        assert_eq!(newest.metrics.cache.snapshot_hits, 2);
+        assert_eq!(newest.metrics.cache.misses, 0);
+        let older = warm.design_batch(histories.take(4).map(job).collect());
+        assert_eq!(older.metrics.cache.snapshot_hits, 0);
+        assert_eq!(older.metrics.cache.misses, 4);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -61,22 +61,6 @@ pub enum FarmEvent {
         /// The rendered [`FarmError`](crate::FarmError).
         error: String,
     },
-    /// A persistent cache snapshot was loaded into the farm's cache.
-    SnapshotLoaded {
-        /// The snapshot file.
-        path: String,
-        /// Records restored as warm cache entries.
-        loaded: usize,
-        /// Records skipped for corruption or truncation.
-        skipped: usize,
-    },
-    /// The farm's cache was written out as a persistent snapshot.
-    SnapshotSaved {
-        /// The snapshot file.
-        path: String,
-        /// Records written.
-        records: usize,
-    },
     /// A durable store was attached and crash recovery ran.
     StoreRecovered {
         /// The store file.
@@ -103,7 +87,7 @@ pub enum FarmEvent {
 
 impl FarmEvent {
     /// The id of the job the event concerns, or `None` for farm-level
-    /// events (snapshot loads and saves) that belong to no single job.
+    /// events (store recovery and compaction) that belong to no single job.
     #[must_use]
     pub fn job_id(&self) -> Option<u64> {
         match *self {
@@ -113,10 +97,7 @@ impl FarmEvent {
             | FarmEvent::JobDegraded { id, .. }
             | FarmEvent::JobFinished { id, .. }
             | FarmEvent::JobFailed { id, .. } => Some(id),
-            FarmEvent::SnapshotLoaded { .. }
-            | FarmEvent::SnapshotSaved { .. }
-            | FarmEvent::StoreRecovered { .. }
-            | FarmEvent::StoreCompacted { .. } => None,
+            FarmEvent::StoreRecovered { .. } | FarmEvent::StoreCompacted { .. } => None,
         }
     }
 }
@@ -210,16 +191,6 @@ impl EventSink for StderrSink {
             FarmEvent::JobFailed { id, error } => {
                 eprintln!("farm: job {id} FAILED: {error}");
             }
-            FarmEvent::SnapshotLoaded {
-                path,
-                loaded,
-                skipped,
-            } => {
-                eprintln!("farm: snapshot {path}: {loaded} designs loaded, {skipped} skipped");
-            }
-            FarmEvent::SnapshotSaved { path, records } => {
-                eprintln!("farm: snapshot {path}: {records} designs saved");
-            }
             FarmEvent::StoreRecovered {
                 path,
                 recovered,
@@ -311,17 +282,6 @@ pub fn to_obs_event(event: &FarmEvent) -> ObsEvent {
             ),
         ),
         FarmEvent::JobFailed { id, error } => mark("job_failed", format!("job {id}: {error}")),
-        FarmEvent::SnapshotLoaded {
-            path,
-            loaded,
-            skipped,
-        } => mark(
-            "cache_snapshot_load",
-            format!("{path}: {loaded} loaded, {skipped} skipped"),
-        ),
-        FarmEvent::SnapshotSaved { path, records } => {
-            mark("cache_snapshot_save", format!("{path}: {records} records"))
-        }
         FarmEvent::StoreRecovered {
             path,
             recovered,
@@ -386,32 +346,14 @@ mod tests {
             Some(3)
         );
         assert_eq!(
-            FarmEvent::SnapshotSaved {
-                path: "cache.fsnap".into(),
-                records: 4
+            FarmEvent::StoreCompacted {
+                path: "designs.flog".into(),
+                kept: 4,
+                dropped: 1
             }
             .job_id(),
             None
         );
-    }
-
-    #[test]
-    fn snapshot_events_bridge_to_marks() {
-        let loaded = to_obs_event(&FarmEvent::SnapshotLoaded {
-            path: "cache.fsnap".into(),
-            loaded: 5,
-            skipped: 1,
-        });
-        assert!(matches!(&loaded, ObsEvent::Mark { scope, name, detail }
-                if scope == "farm"
-                    && name == "cache_snapshot_load"
-                    && detail == "cache.fsnap: 5 loaded, 1 skipped"));
-        let saved = to_obs_event(&FarmEvent::SnapshotSaved {
-            path: "cache.fsnap".into(),
-            records: 7,
-        });
-        assert!(matches!(&saved, ObsEvent::Mark { name, detail, .. }
-                if name == "cache_snapshot_save" && detail.contains("7 records")));
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl DesignJob {
     }
 
     /// A second, independent digest over the same job contents, used by the
-    /// persistent snapshot layer to re-verify that a fingerprint match is a
+    /// durable store's warm entries to re-verify that a fingerprint match is a
     /// content match and not a 64-bit collision. Same cacheability rule as
     /// [`fingerprint`](DesignJob::fingerprint); the two digests differ only
     /// in their FNV seed, so a collision in one is (with overwhelming
@@ -90,7 +90,7 @@ impl DesignJob {
     }
 
     /// Walks every content field of the job into `h`. Shared by the cache
-    /// fingerprint and the snapshot verification hash.
+    /// fingerprint and the store verification hash.
     fn digest(&self, mut h: Fnv1a) -> Option<u64> {
         let budget = self.designer.design_budget();
         if budget.deadline.is_some() {

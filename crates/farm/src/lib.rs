@@ -22,25 +22,20 @@
 //!   [`EventSink`], aggregated per batch into a [`FarmMetrics`] summary
 //!   (throughput, p50/p95/max latency, cache hit rate and the
 //!   degradation-rung histogram) with a stable JSON rendering;
-//! - **persistent snapshots** of the cache (the [`snapshot format`]
-//!   behind [`DesignCache::save_snapshot`] / [`DesignCache::load_snapshot`]
-//!   and [`Farm::load_cache_snapshot`] / [`Farm::save_cache_snapshot`]):
-//!   a versioned, checksummed file so a later process starts warm, with
-//!   per-record corruption skipped and counted rather than fatal, and
-//!   warm entries re-verified against an independent digest
-//!   ([`DesignJob::verify_hash`]) before being served;
 //! - a **durable log-structured store** ([`DesignStore`], behind
-//!   [`Farm::attach_store`]): an append log fsync'd incrementally while
-//!   serving, with crash recovery that truncates torn tails, one-time
-//!   migration of legacy snapshot files, generation-stamped records and
-//!   online compaction ([`DesignStore::compact`]) under size and
-//!   generation-TTL policies;
+//!   [`Farm::attach_store`]), the one persistence format: an append log
+//!   fsync'd incrementally while serving, so a later process starts warm.
+//!   Recovery truncates torn tails and skips and counts corrupt records
+//!   rather than failing; warm entries are re-verified against an
+//!   independent digest ([`DesignJob::verify_hash`]) before being served.
+//!   Records are generation-stamped, and online compaction
+//!   ([`DesignStore::compact`]) applies size and generation-TTL policies.
+//!   Legacy v1 snapshot files are read only to migrate them, once, into
+//!   the log ([`decode_snapshot`]);
 //! - a **sharded cache front-end** ([`ShardedFarm`]): N farms behind one
 //!   fingerprint-routed facade (`fingerprint % shards`), killing the
 //!   single cache lock for high-fanout serving while every shard appends
 //!   to the same durable log.
-//!
-//! [`snapshot format`]: encode_snapshot
 //!
 //! Failures stay contained: a job that fails — typed [`FarmError`],
 //! including faults injected at the `farm-worker` failpoint and contained
@@ -98,9 +93,8 @@ pub use job::{DesignJob, JobInput};
 pub use metrics::FarmMetrics;
 pub use sharded::ShardedFarm;
 pub use snapshot::{
-    decode_design, decode_snapshot, encode_design, encode_snapshot, read_snapshot_file,
-    write_snapshot_file, DecodedSnapshot, SnapshotError, SnapshotRecord, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    decode_design, decode_snapshot, encode_design, encode_snapshot, DecodedSnapshot, SnapshotError,
+    SnapshotRecord, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use store::{
     read_design_file, CompactPolicy, CompactReport, DecodedStore, DesignStore, StoreConfig,

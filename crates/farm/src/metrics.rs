@@ -27,8 +27,8 @@ pub struct FarmMetrics {
     pub workers: usize,
     /// Design-cache accounting for the batch's cache.
     pub cache: CacheStats,
-    /// What the farm's persistent-snapshot load did (zeros when no
-    /// snapshot was loaded).
+    /// What warm-starting from the durable store did (zeros when no store
+    /// is attached). Rendered as the `snapshot` JSON block.
     pub snapshot: SnapshotLoadReport,
     /// Durability counters of the attached log-structured store (zeros
     /// when no store is attached). Cumulative for the store handle, not

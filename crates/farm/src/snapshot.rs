@@ -1,9 +1,21 @@
-//! Persistent design-cache snapshots: a versioned, checksummed on-disk
-//! format for [`Design`] results keyed by job fingerprint.
+//! The [`Design`] payload codec shared by the durable store, and the
+//! read-only decoder for legacy v1 snapshot files.
 //!
-//! # File format (version 1)
+//! [`encode_design`]/[`decode_design`] turn one design into a
+//! self-contained payload and back: Markov model, pattern sets, cover,
+//! optional regex, both Moore machines, degradation report and effective
+//! history. Decoding runs entirely through validating constructors, so
+//! corrupted bytes can never reach a panicking API. The log store
+//! ([`DesignStore`](crate::DesignStore)) frames these payloads; it is the
+//! only persistence format this crate writes.
 //!
-//! All integers are little-endian.
+//! # Legacy snapshot format (version 1)
+//!
+//! Earlier builds persisted the cache as a one-shot snapshot file. Those
+//! files stay readable through [`decode_snapshot`] so that
+//! [`DesignStore::open`](crate::DesignStore::open) can migrate them to a
+//! log and `fsmgen cache info` can inspect them. All integers are
+//! little-endian.
 //!
 //! ```text
 //! header   := magic (8 bytes, "FSMFARMS") version (u32) record_count (u32)
@@ -14,11 +26,7 @@
 //!
 //! The checksum covers the record *header* fields as well as the payload,
 //! so a flipped byte anywhere inside a record — including its length field
-//! — is detected. The payload is a self-contained encoding of one
-//! [`Design`] (Markov model, pattern sets, cover, optional regex, both
-//! Moore machines, degradation report and effective history), decoded
-//! entirely through validating constructors so corrupted bytes can never
-//! reach a panicking API.
+//! — is detected.
 //!
 //! # Corruption policy
 //!
@@ -26,28 +34,20 @@
 //! header) are [`SnapshotError`]s: the caller gets nothing and should fall
 //! back to a cold cache. Everything past a valid header degrades
 //! per-record: a record that fails its checksum or decode is *skipped and
-//! counted*, and a truncation mid-record ends the load with the remaining
-//! declared records counted as skipped. Loading never panics and never
-//! aborts a batch.
-//!
-//! Saving goes through a temporary file in the destination directory
-//! followed by an atomic rename, so a crash mid-save leaves any previous
-//! snapshot intact.
+//! counted*, and a truncation mid-record ends the decode with the
+//! remaining declared records counted as skipped. Decoding never panics.
 
 use crate::fnv::Fnv1a;
 use fsmgen::{Degradation, DegradationStep, Design, MarkovModel, PatternSets, Rung};
 use fsmgen_automata::{Dfa, Regex};
 use fsmgen_logicmin::{Cover, Cube, FunctionSpec, MAX_VARS};
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes identifying a farm cache snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FSMFARMS";
 
-/// The snapshot format version this build writes and reads.
+/// The snapshot format version legacy files carry (the only one there is).
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Fixed byte length of the snapshot header.
@@ -65,13 +65,11 @@ const KNOWN_STAGES: [&str; 7] = [
     "patterns", "minimize", "nfa", "dfa", "hopcroft", "reduce", "counter",
 ];
 
-/// A whole-file failure: nothing could be loaded. Per-record corruption is
-/// *not* an error — see the module docs' corruption policy.
+/// A whole-file failure: nothing could be decoded. Per-record corruption
+/// is *not* an error — see the module docs' corruption policy.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SnapshotError {
-    /// The file could not be read or written.
-    Io(std::io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
     /// The file declares a format version this build does not understand.
@@ -83,7 +81,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::BadMagic => f.write_str("not a farm cache snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
@@ -96,20 +93,7 @@ impl fmt::Display for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
+impl std::error::Error for SnapshotError {}
 
 /// One successfully decoded snapshot record.
 #[derive(Debug, Clone)]
@@ -128,7 +112,7 @@ pub struct SnapshotRecord {
 #[derive(Debug, Clone, Default)]
 pub struct DecodedSnapshot {
     /// Records that passed their checksum and decoded cleanly, in file
-    /// order (the saver writes most-recently-used first).
+    /// order (snapshots were written most-recently-used first).
     pub records: Vec<SnapshotRecord>,
     /// Declared records that were corrupt, undecodable or truncated away.
     pub skipped: usize,
@@ -543,6 +527,10 @@ fn record_checksum(fingerprint: u64, verify: u64, payload: &[u8]) -> u64 {
 
 /// Encodes a full snapshot — header plus one record per
 /// `(fingerprint, verify, design)` triple, in iteration order.
+///
+/// Nothing in production calls this: no build writes snapshots any more.
+/// It is the frozen reference encoder that tests use to build legacy
+/// files for the migration and corruption checks.
 #[must_use]
 pub fn encode_snapshot<'a, I>(records: I) -> Vec<u8>
 where
@@ -627,45 +615,6 @@ fn decode_record(r: &mut Reader<'_>) -> Result<Option<SnapshotRecord>, ()> {
         })),
         Err(_) => Ok(None),
     }
-}
-
-// ---------------------------------------------------------------------------
-// File wrappers
-// ---------------------------------------------------------------------------
-
-/// Writes a snapshot atomically: the bytes go to a sibling temporary file
-/// which is then renamed over `path`, so a crash mid-write leaves any
-/// previous snapshot intact.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::Io`] when the temporary file cannot be written
-/// or renamed.
-pub fn write_snapshot_file<'a, I>(path: &Path, records: I) -> Result<(), SnapshotError>
-where
-    I: IntoIterator<Item = (u64, u64, &'a Design)>,
-{
-    let bytes = encode_snapshot(records);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Reads and decodes a snapshot file.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] for I/O failures and whole-file format
-/// problems; per-record corruption is reported through
-/// [`DecodedSnapshot::skipped`] instead.
-pub fn read_snapshot_file(path: &Path) -> Result<DecodedSnapshot, SnapshotError> {
-    let bytes = fs::read(path)?;
-    decode_snapshot(&bytes)
 }
 
 #[cfg(test)]
@@ -762,28 +711,5 @@ mod tests {
                 "cut at {cut} lost records silently"
             );
         }
-    }
-
-    #[test]
-    fn file_round_trip_is_atomic_and_reloadable() {
-        let design = sample_design();
-        let dir = std::env::temp_dir().join(format!("fsmgen-snap-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.fsnap");
-        write_snapshot_file(&path, [(42u64, 43u64, &design)]).unwrap();
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file left behind"
-        );
-        let decoded = read_snapshot_file(&path).unwrap();
-        assert_eq!(decoded.records.len(), 1);
-        assert_eq!(*decoded.records[0].design, design);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let err = read_snapshot_file(Path::new("/nonexistent/cache.fsnap")).unwrap_err();
-        assert!(matches!(err, SnapshotError::Io(_)));
     }
 }

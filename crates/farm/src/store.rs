@@ -1,11 +1,10 @@
 //! Durable log-structured design-cache store: crash-safe appends,
 //! torn-write recovery, generation stamps and online compaction.
 //!
-//! Where [`snapshot`](crate::snapshot) persists the cache as a
-//! whole-file image written once at clean exit, this module keeps an
-//! **append log** that grows by one record per computed design while
-//! the process serves. A `kill -9` loses at most the appends since the
-//! last fsync (bounded by [`StoreConfig::flush_every`] /
+//! This is the farm's one persistence format. The store is an **append
+//! log** that grows by one record per computed design while the process
+//! serves. A `kill -9` loses at most the appends since the last fsync
+//! (bounded by [`StoreConfig::flush_every`] /
 //! [`StoreConfig::flush_interval`]), not the whole session.
 //!
 //! # File format (log version 1)
@@ -19,9 +18,10 @@
 //! checksum := FNV-1a over fingerprint_le ‖ verify_le ‖ generation_le(u64) ‖ payload
 //! ```
 //!
-//! The payload is the same self-contained [`Design`] encoding the
-//! snapshot format uses ([`encode_design`](crate::encode_design)), so
-//! both formats share one validating codec. The generation stamp
+//! The payload is the self-contained [`Design`] encoding of
+//! [`encode_design`](crate::encode_design), decoded through one
+//! validating codec ([`decode_design`](crate::decode_design)). The
+//! generation stamp
 //! records which store *session* (one [`DesignStore::open`] to the next)
 //! wrote the record; compaction can drop generations older than a TTL.
 //!
@@ -30,17 +30,19 @@
 //! [`DesignStore::open`] replays the log front to back:
 //!
 //! - a record whose framing is intact but whose checksum or payload
-//!   decode fails is **skipped and counted** ([`StoreStats::skipped`]) —
-//!   the classic snapshot corruption policy, never a panic;
+//!   decode fails is **skipped and counted** ([`StoreStats::skipped`]),
+//!   never a panic;
 //! - when the bytes run out mid-record — a torn tail from a crash
 //!   between `write` and `fsync` — the file is **truncated back to the
 //!   end of the last framed record** ([`StoreStats::truncated`] counts
 //!   truncation events) and appending resumes from there;
-//! - a legacy [`SNAPSHOT_MAGIC`](crate::SNAPSHOT_MAGIC) file is migrated
-//!   in place: its records are replayed oldest-first into a fresh log
-//!   (written atomically, temp + rename) and counted in
-//!   [`StoreStats::migrated`]. PR 4 snapshot files therefore keep
-//!   loading, once, after which the file is a log.
+//! - a legacy v1 snapshot ([`SNAPSHOT_MAGIC`](crate::SNAPSHOT_MAGIC))
+//!   is migrated in place: the read-only
+//!   [`decode_snapshot`](crate::decode_snapshot) replays its records
+//!   oldest-first into a fresh log (written atomically, temp + rename),
+//!   counted in [`StoreStats::migrated`]. Old snapshot files therefore
+//!   load exactly once, after which the file is a log. Nothing writes
+//!   snapshots any more.
 //!
 //! # Compaction
 //!
@@ -180,10 +182,9 @@ impl From<std::io::Error> for StoreError {
 impl From<SnapshotError> for StoreError {
     fn from(e: SnapshotError) -> Self {
         match e {
-            SnapshotError::Io(io) => StoreError::Io(io),
             SnapshotError::BadMagic => StoreError::BadMagic,
             SnapshotError::UnsupportedVersion(v) => StoreError::UnsupportedVersion(v),
-            _ => StoreError::TruncatedHeader,
+            SnapshotError::TruncatedHeader => StoreError::TruncatedHeader,
         }
     }
 }
@@ -651,7 +652,7 @@ pub fn read_design_file(path: &Path) -> Result<DecodedStore, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::write_snapshot_file;
+    use crate::snapshot::encode_snapshot;
     use fsmgen::Designer;
     use fsmgen_traces::BitTrace;
 
@@ -777,8 +778,12 @@ mod tests {
         let path = tmp("legacy.flog");
         let _ = fs::remove_file(&path);
         let design = sample_design(2);
-        // A PR 4 snapshot, MRU-first: 9 was used more recently than 7.
-        write_snapshot_file(&path, [(9u64, 10u64, &design), (7u64, 8u64, &design)]).unwrap();
+        // A legacy v1 snapshot, MRU-first: 9 was used more recently than 7.
+        fs::write(
+            &path,
+            encode_snapshot([(9u64, 10u64, &design), (7u64, 8u64, &design)]),
+        )
+        .unwrap();
 
         let (store, recovered) = DesignStore::open(&path, eager()).unwrap();
         assert_eq!(store.stats().migrated, 2);

@@ -1,10 +1,10 @@
-//! Differential harness: cache-backed (warm-snapshot) designs must be
+//! Differential harness: cache-backed (warm-store) designs must be
 //! bit-identical to cold designs, across a matrix of workloads and
 //! history lengths — and the warm run must not touch the design pipeline
 //! at all (zero minimize/QM/espresso activity, asserted via obs events).
 
 use fsmgen::Designer;
-use fsmgen_farm::{DesignJob, Farm, FarmConfig};
+use fsmgen_farm::{DesignJob, Farm, FarmConfig, StoreConfig};
 use fsmgen_obs::{CollectingObsSink, ObsEvent};
 use fsmgen_synth::{synthesize_area, Encoding};
 use fsmgen_testkit::{workload_matrix, HISTORIES};
@@ -29,26 +29,35 @@ fn jobs() -> Vec<(String, DesignJob)> {
     jobs
 }
 
-fn tmp_snapshot(tag: &str) -> PathBuf {
+fn tmp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fsmgen-diff-{}-{tag}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("cache.fsnap")
+    dir.join("designs.flog")
 }
 
 #[test]
 fn warm_designs_are_bit_identical_to_cold_and_skip_the_pipeline() {
-    let path = tmp_snapshot("matrix");
+    let path = tmp_store("matrix");
     let labels: Vec<String> = jobs().iter().map(|(l, _)| l.clone()).collect();
 
-    // Cold pass: design the whole matrix from scratch and persist.
+    // Cold pass: design the whole matrix from scratch; the attached store
+    // appends every design as it is computed.
     let cold = Farm::new(FarmConfig {
         workers: 2,
         cache_capacity: 64,
     });
+    cold.attach_store(&path, StoreConfig::default()).unwrap();
     let cold_report = cold.design_batch(jobs().into_iter().map(|(_, j)| j).collect());
     assert_eq!(cold_report.metrics.failed, 0, "cold matrix must succeed");
-    let saved = cold.save_cache_snapshot(&path).unwrap();
-    assert_eq!(saved, labels.len(), "every unique job should be persisted");
+    assert_eq!(
+        cold_report.metrics.store.appends as usize,
+        labels.len(),
+        "every unique job should be persisted"
+    );
+    drop(cold);
 
     // Warm pass: one worker so every job runs inline on this thread,
     // which a thread-local obs sink then observes completely.
@@ -56,24 +65,25 @@ fn warm_designs_are_bit_identical_to_cold_and_skip_the_pipeline() {
         workers: 1,
         cache_capacity: 64,
     });
-    let loaded = warm.load_cache_snapshot(&path).unwrap();
-    assert_eq!(loaded.loaded, labels.len());
-    assert_eq!(loaded.skipped, 0);
+    let recovered = warm.attach_store(&path, StoreConfig::default()).unwrap();
+    assert_eq!(recovered.recovered as usize, labels.len());
+    assert_eq!(recovered.skipped, 0);
 
     let obs_sink = Arc::new(CollectingObsSink::new());
     let _guard = fsmgen_obs::install(Arc::clone(&obs_sink) as Arc<dyn fsmgen_obs::ObsSink>);
     let warm_report = warm.design_batch(jobs().into_iter().map(|(_, j)| j).collect());
     drop(_guard);
 
-    // Every job must be served from the snapshot.
+    // Every job must be served from the store.
     assert_eq!(
         warm_report.metrics.cache.snapshot_hits as usize,
         labels.len(),
-        "warm run must serve everything from the snapshot: {:?}",
+        "warm run must serve everything from the store: {:?}",
         warm_report.metrics.cache
     );
     assert_eq!(warm_report.metrics.cache.misses, 0);
     assert_eq!(warm_report.metrics.cache.stale, 0);
+    assert_eq!(warm_report.metrics.store.appends, 0, "nothing new to log");
 
     // Zero design-pipeline activity: no minimize span, no QM/espresso
     // counters, in fact no design span at all.
@@ -149,27 +159,28 @@ fn warm_designs_are_bit_identical_to_cold_and_skip_the_pipeline() {
 
 #[test]
 fn warm_start_composes_with_new_jobs() {
-    // A snapshot covering part of a batch: the covered jobs hit warm, the
-    // rest compute fresh, and both kinds land in the next snapshot.
-    let path = tmp_snapshot("compose");
+    // A store covering part of a batch: the covered jobs hit warm, the
+    // rest compute fresh, and both kinds are in the store afterwards.
+    let path = tmp_store("compose");
     let trace: Arc<BitTrace> = Arc::new(fsmgen_testkit::periodic_trace(40));
 
     let cold = Farm::new(FarmConfig {
         workers: 1,
         cache_capacity: 16,
     });
+    cold.attach_store(&path, StoreConfig::default()).unwrap();
     let _ = cold.design_batch(vec![DesignJob::from_trace(
         0,
         Arc::clone(&trace),
         Designer::new(2),
     )]);
-    cold.save_cache_snapshot(&path).unwrap();
+    drop(cold);
 
     let warm = Farm::new(FarmConfig {
         workers: 1,
         cache_capacity: 16,
     });
-    warm.load_cache_snapshot(&path).unwrap();
+    warm.attach_store(&path, StoreConfig::default()).unwrap();
     let report = warm.design_batch(vec![
         DesignJob::from_trace(0, Arc::clone(&trace), Designer::new(2)), // warm hit
         DesignJob::from_trace(1, Arc::clone(&trace), Designer::new(3)), // fresh
@@ -178,13 +189,20 @@ fn warm_start_composes_with_new_jobs() {
     assert_eq!(report.metrics.cache.misses, 1);
     assert_eq!(report.metrics.succeeded, 2);
 
-    // Re-saving now persists both designs.
-    assert_eq!(warm.save_cache_snapshot(&path).unwrap(), 2);
+    // Only the fresh design was appended; the store now holds both.
+    assert_eq!(report.metrics.store.appends, 1);
+    drop(warm);
     let third = Farm::new(FarmConfig {
         workers: 1,
         cache_capacity: 16,
     });
-    assert_eq!(third.load_cache_snapshot(&path).unwrap().loaded, 2);
+    assert_eq!(
+        third
+            .attach_store(&path, StoreConfig::default())
+            .unwrap()
+            .recovered,
+        2
+    );
 
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }

@@ -1,5 +1,6 @@
-//! Property tests for the persistent snapshot codec: arbitrary designs
-//! round-trip exactly, and arbitrary corruption (truncation, bit flips,
+//! Property tests for the design payload codec and the read-only legacy
+//! snapshot decoder: arbitrary designs round-trip exactly, and arbitrary
+//! corruption (truncation, bit flips,
 //! random garbage) never panics — it either yields a structured
 //! [`SnapshotError`] or a per-record skip count.
 

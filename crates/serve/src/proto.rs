@@ -198,7 +198,12 @@ pub fn read_frame_after_prefix(
     Ok(payload)
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) as a single `write_all`.
+///
+/// The frame is assembled before writing: a separate 4-byte prefix write
+/// on an unbuffered socket leaves a small segment in flight, and Nagle's
+/// algorithm then holds the payload until the peer's delayed ACK (~40 ms
+/// per request on Linux loopback).
 ///
 /// # Errors
 ///
@@ -206,8 +211,10 @@ pub fn read_frame_after_prefix(
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -923,6 +930,37 @@ mod tests {
             read_frame(&mut cursor, 64),
             Err(ProtoError::Disconnected)
         ));
+    }
+
+    /// Counts `write` calls, so a frame split across several writes shows.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut wire = CountingWriter::default();
+        write_frame(&mut wire, b"hello").unwrap();
+        assert_eq!(wire.writes, 1, "prefix and payload must go out together");
+        write_frame(&mut wire, b"").unwrap();
+        assert_eq!(wire.writes, 2);
+        let mut cursor = io::Cursor::new(wire.bytes);
+        assert_eq!(read_frame(&mut cursor, 64).unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor, 64).unwrap(), b"");
     }
 
     #[test]

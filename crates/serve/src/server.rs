@@ -141,8 +141,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Requests shutdown: stop accepting, drain in-flight work, persist
-    /// the snapshot. Idempotent.
+    /// Requests shutdown: stop accepting, drain in-flight work, compact
+    /// the durable store. Idempotent.
     pub fn shutdown(&self) {
         signal_shutdown(&self.shared, self.addr);
     }

@@ -3,11 +3,11 @@
 //! recover (truncating the torn tail we inject), and serve designs
 //! byte-identical to the uninterrupted local reference across the
 //! workload×history matrix. A second drill checks the one-time
-//! migration of a legacy PR 4 snapshot file into the log format.
+//! migration of a legacy v1 snapshot file into the log format.
 
-use fsmgen::Designer;
+use fsmgen::{Design, Designer};
 use fsmgen_automata::machine_to_table;
-use fsmgen_farm::{DesignJob, Farm, FarmConfig, STORE_MAGIC};
+use fsmgen_farm::{encode_snapshot, DesignJob, STORE_MAGIC};
 use fsmgen_serve::json::{self, Json};
 use fsmgen_serve::{Request, Response, ServeClient};
 use fsmgen_testkit::{workload_matrix, HISTORIES};
@@ -263,28 +263,33 @@ fn legacy_snapshot_file_is_migrated_once_and_served_warm() {
     let store_file = dir.join("legacy.fsnap");
     let matrix = matrix_with_expected_tables();
 
-    // Produce a genuine PR 4 snapshot-v1 file by running the same jobs
-    // through a local farm and saving its cache the old way. Job ids are
-    // not part of the fingerprint, so the server's lookups match.
-    let farm = Farm::new(FarmConfig {
-        workers: 2,
-        cache_capacity: 1024,
-    });
-    let jobs: Vec<DesignJob> = workload_matrix()
+    // Produce a genuine snapshot-v1 file with the frozen reference
+    // encoder, keyed by the same jobs' fingerprint and verify digests. Job
+    // ids are not part of the fingerprint, so the server's lookups match.
+    let designed: Vec<(DesignJob, Design)> = workload_matrix()
         .into_iter()
         .flat_map(|(_name, trace)| {
             let trace = Arc::new(trace);
             HISTORIES
                 .into_iter()
                 .map(move |history| {
-                    DesignJob::from_trace(0, Arc::clone(&trace), Designer::new(history))
+                    let designer = Designer::new(history);
+                    let design = designer.design_from_trace(&trace).expect("local design");
+                    (
+                        DesignJob::from_trace(0, Arc::clone(&trace), designer),
+                        design,
+                    )
                 })
                 .collect::<Vec<_>>()
         })
         .collect();
-    let _report = farm.design_batch(jobs);
-    let saved = farm.save_cache_snapshot(&store_file).expect("legacy save");
-    assert_eq!(saved, matrix.len(), "one snapshot record per unique job");
+    assert_eq!(designed.len(), matrix.len(), "one snapshot record per job");
+    let records = designed.iter().map(|(job, design)| {
+        let fingerprint = job.fingerprint().expect("cacheable job");
+        let verify = job.verify_hash().expect("cacheable job");
+        (fingerprint, verify, design)
+    });
+    std::fs::write(&store_file, encode_snapshot(records)).expect("legacy write");
 
     // A server pointed at the legacy file migrates it in place and
     // serves every job from the migrated cache.

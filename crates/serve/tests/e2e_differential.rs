@@ -2,7 +2,7 @@
 //! `fsmgen-served` process, drive it with concurrent clients over the
 //! canonical workload×history matrix, and assert that every Moore
 //! machine returned over TCP is byte-identical to one designed locally
-//! in this process. A second server run over the same snapshot file must
+//! in this process. A second server run over the same store file must
 //! serve (nearly) everything from the warm cache.
 
 use fsmgen::Designer;
@@ -197,7 +197,7 @@ fn served_designs_are_bit_identical_and_warm_restart_stays_warm() {
         "every request must succeed"
     );
     cold.shutdown();
-    assert!(cache_file.exists(), "shutdown must persist the snapshot");
+    assert!(cache_file.exists(), "shutdown must persist the store");
     assert!(metrics_file.exists(), "shutdown must write metrics JSON");
 
     // Warm restart over the same snapshot: ≥90% of lookups must be cache

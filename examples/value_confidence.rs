@@ -23,7 +23,6 @@ fn main() {
         trace_len: 40_000,
         histories: vec![2, 4, 6, 8, 10],
         thresholds: vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99],
-        cache_file: None,
     };
     println!(
         "cross-training FSM confidence for {bench}: trained on all other \

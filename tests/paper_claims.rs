@@ -129,7 +129,6 @@ fn fsm_confidence_dominates_sud_on_hard_benchmark() {
             trace_len: 30_000,
             histories: vec![4, 8],
             thresholds: vec![0.5, 0.7, 0.9],
-            cache_file: None,
         },
     );
     let sud = best_coverage_at_accuracy(&panel.sud, 0.78).unwrap_or(0.0);
@@ -155,7 +154,6 @@ fn fsm_confidence_converges_with_sud_at_extreme_accuracy() {
             trace_len: 30_000,
             histories: vec![8],
             thresholds: vec![0.99],
-            cache_file: None,
         },
     );
     if let Some(extreme) = panel.fsm[&8].first() {
