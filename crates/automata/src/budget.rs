@@ -20,9 +20,9 @@ pub struct AutomataBudget {
     /// regex size, so this is checked after building (the work to discover a
     /// violation is proportional to the limit, not exponential).
     pub max_nfa_states: Option<usize>,
-    /// Maximum number of DFA states subset construction may materialize.
-    /// Also caps the length of the reachable-subset sequence walked by
-    /// steady-state reduction.
+    /// Maximum number of DFA states subset construction or the window
+    /// construction may materialize. Also caps the length of the
+    /// reachable-subset sequence walked by steady-state reduction.
     pub max_dfa_states: Option<usize>,
     /// Wall-clock deadline; long-running loops poll it and abort with
     /// [`AutomataError::DeadlineExpired`].

@@ -1,9 +1,11 @@
 //! Deterministic finite automata over the binary alphabet: subset
-//! construction, Hopcroft minimization and start-state (steady-state)
-//! reduction (§4.6–4.7 of the paper).
+//! construction, the history-window construction from a cover, Hopcroft
+//! minimization and start-state (steady-state) reduction (§4.6–4.7 of the
+//! paper).
 
 use crate::budget::{AutomataBudget, AutomataError};
 use crate::nfa::Nfa;
+use fsmgen_logicmin::Cover;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A complete deterministic finite automaton over the binary alphabet.
@@ -134,6 +136,122 @@ impl Dfa {
         })
     }
 
+    /// Window construction: builds the history-window Moore machine for the
+    /// language `Σ*·L(cover)` over a fixed `history`-bit window directly,
+    /// with no regex, NFA or subset step.
+    ///
+    /// Cube variable `i` is the outcome `i` steps back (variable 0 is the
+    /// most recent bit), as in the designer's §4.5 regex. The machine has
+    /// `2^history − 1` non-accepting start-up states, one per prefix
+    /// shorter than the window, then `2^history` window states: window `w`
+    /// moves to `((w << 1) | b) & mask` on bit `b` and outputs
+    /// `cover.covers_minterm(w)`. States are numbered in BFS order from the
+    /// start, so every state is reachable.
+    ///
+    /// When `history` is the cover's width, the machine accepts exactly the
+    /// language of the regex `{0|1}*(p₁|…|pₖ)` built from the cover's
+    /// `history`-bit patterns, so [`Dfa::minimized`] maps it to the same
+    /// canonical minimal DFA as the paper path through
+    /// [`Nfa::from_regex`] and [`Dfa::from_nfa`]. A wider `history` leaves
+    /// the extra, older variables free and keeps the start-up states
+    /// non-accepting until the whole window is filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `history` is zero, at least 32, or narrower than the
+    /// cover.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fsmgen_automata::{Dfa, Nfa, Regex};
+    /// use fsmgen_logicmin::Cover;
+    ///
+    /// // Figure 1: the cover (x1) + (1x) at history 2.
+    /// let cover = Cover::from_cubes(2, vec!["-1".parse()?, "1-".parse()?]);
+    /// let window = Dfa::from_cover(&cover, 2).minimized();
+    /// let re = Regex::ending_in(vec![
+    ///     Regex::pattern(&[Some(true), None]),
+    ///     Regex::pattern(&[None, Some(true)]),
+    /// ]);
+    /// assert_eq!(window, Dfa::from_nfa(&Nfa::from_regex(&re)).minimized());
+    /// assert_eq!(window.num_states(), 5);
+    /// # Ok::<(), fsmgen_logicmin::ParseCubeError>(())
+    /// ```
+    #[must_use]
+    pub fn from_cover(cover: &Cover, history: usize) -> Self {
+        match Dfa::from_cover_checked(cover, history, &AutomataBudget::unlimited()) {
+            Ok(dfa) => dfa,
+            Err(_) => unreachable!("unlimited budgets never abort"),
+        }
+    }
+
+    /// [`Dfa::from_cover`] under an [`AutomataBudget`]: the machine's
+    /// `2^(history+1) − 1` states are checked against `max_dfa_states`
+    /// before anything is allocated, and the deadline is polled once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AutomataError::DfaStates`] when the machine would exceed
+    /// `max_dfa_states`, or [`AutomataError::DeadlineExpired`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Dfa::from_cover`].
+    pub fn from_cover_checked(
+        cover: &Cover,
+        history: usize,
+        budget: &AutomataBudget,
+    ) -> Result<Self, AutomataError> {
+        assert!(
+            (1..32).contains(&history),
+            "history must be in 1..32, got {history}"
+        );
+        assert!(
+            cover.width() <= history,
+            "cover width {} exceeds history {history}",
+            cover.width()
+        );
+        let windows = 1usize << history;
+        let states = 2 * windows - 1;
+        if let Some(limit) = budget.max_dfa_states {
+            if states > limit {
+                return Err(AutomataError::DfaStates {
+                    generated: states,
+                    limit,
+                });
+            }
+        }
+        budget.check_deadline("window construction")?;
+
+        // State (k, v) — the last k < history bits read, valued v — is
+        // number 2^k − 1 + v; window w is number 2^history − 1 + w. This is
+        // exactly BFS order from the empty prefix, bit 0 first.
+        let first_window = (windows - 1) as u32;
+        let mask = (windows - 1) as u32;
+        let mut transitions: Vec<[u32; 2]> = Vec::with_capacity(states);
+        for k in 0..history {
+            let next_level = (1u32 << (k + 1)) - 1;
+            for v in 0..1u32 << k {
+                transitions.push([next_level + (v << 1), next_level + (v << 1 | 1)]);
+            }
+        }
+        for w in 0..windows as u32 {
+            let shifted = (w << 1) & mask;
+            transitions.push([first_window + shifted, first_window + (shifted | 1)]);
+        }
+        let mut accept = vec![false; states];
+        for (w, out) in accept[windows - 1..].iter_mut().enumerate() {
+            *out = cover.covers_minterm(w as u32);
+        }
+        fsmgen_obs::counter("dfa", "window_states", states as u64);
+        Ok(Dfa {
+            transitions,
+            accept,
+            start: 0,
+        })
+    }
+
     /// Number of states.
     #[must_use]
     pub fn num_states(&self) -> usize {
@@ -255,11 +373,23 @@ impl Dfa {
         let trimmed = self.trimmed();
         let n = trimmed.num_states();
 
-        // Precompute reverse transitions.
-        let mut reverse: Vec<[Vec<u32>; 2]> = vec![[Vec::new(), Vec::new()]; n];
-        for (s, row) in trimmed.transitions.iter().enumerate() {
-            for bit in 0..2 {
-                reverse[row[bit] as usize][bit].push(s as u32);
+        // Reverse transitions in compressed rows: the predecessors of state
+        // t on `bit` are rev_src[bit][rev_start[bit][t]..rev_start[bit][t+1]].
+        let mut rev_start: [Vec<u32>; 2] = [vec![0; n + 1], vec![0; n + 1]];
+        let mut rev_src: [Vec<u32>; 2] = [vec![0; n], vec![0; n]];
+        for bit in 0..2 {
+            let start = &mut rev_start[bit];
+            for row in &trimmed.transitions {
+                start[row[bit] as usize + 1] += 1;
+            }
+            for t in 0..n {
+                start[t + 1] += start[t];
+            }
+            let mut fill = start.clone();
+            for (s, row) in trimmed.transitions.iter().enumerate() {
+                let slot = &mut fill[row[bit] as usize];
+                rev_src[bit][*slot as usize] = s as u32;
+                *slot += 1;
             }
         }
 
@@ -281,36 +411,61 @@ impl Dfa {
             block_of.fill(0);
         }
 
+        // pending[2 * b + bit] mirrors "(b, bit) is on the worklist".
         let mut worklist: VecDeque<(u32, usize)> = VecDeque::new();
+        let mut pending: Vec<bool> = vec![false; 2 * blocks.len()];
         for bit in 0..2 {
             // Put the smaller block on the worklist (classic Hopcroft).
             let smaller = (0..blocks.len() as u32)
                 .min_by_key(|&b| blocks[b as usize].len())
                 .expect("at least one block");
             worklist.push_back((smaller, bit));
+            pending[2 * smaller as usize + bit] = true;
         }
 
+        // Scratch reused across splitters: the splitter's preimage X as a
+        // mark vector plus the list of marked states, and per-block hit
+        // counts plus the list of blocks X crosses.
+        let mut in_x = vec![false; n];
+        let mut x: Vec<u32> = Vec::new();
+        let mut hits: Vec<u32> = vec![0; blocks.len()];
+        let mut affected: Vec<u32> = Vec::new();
         while let Some((splitter, bit)) = worklist.pop_front() {
+            pending[2 * splitter as usize + bit] = false;
             budget.check_deadline("hopcroft refinement")?;
             // X = states with a transition on `bit` into the splitter block.
-            let mut x: BTreeSet<u32> = BTreeSet::new();
+            x.clear();
             for &s in &blocks[splitter as usize] {
-                for &p in &reverse[s as usize][bit] {
-                    x.insert(p);
+                let s = s as usize;
+                let range = rev_start[bit][s] as usize..rev_start[bit][s + 1] as usize;
+                for &p in &rev_src[bit][range] {
+                    if !in_x[p as usize] {
+                        in_x[p as usize] = true;
+                        x.push(p);
+                    }
                 }
             }
             if x.is_empty() {
                 continue;
             }
-            // Split every block crossed by X.
-            let affected: BTreeSet<u32> = x.iter().map(|&s| block_of[s as usize]).collect();
-            for b in affected {
-                let block = &blocks[b as usize];
-                let (inside, outside): (Vec<u32>, Vec<u32>) =
-                    block.iter().partition(|s| x.contains(s));
-                if inside.is_empty() || outside.is_empty() {
+            // Split every block crossed by X, in ascending block order.
+            affected.clear();
+            for &s in &x {
+                let b = block_of[s as usize] as usize;
+                if hits[b] == 0 {
+                    affected.push(b as u32);
+                }
+                hits[b] += 1;
+            }
+            affected.sort_unstable();
+            for &b in &affected {
+                let whole = hits[b as usize] as usize == blocks[b as usize].len();
+                hits[b as usize] = 0;
+                if whole {
                     continue;
                 }
+                let (inside, outside): (Vec<u32>, Vec<u32>) =
+                    blocks[b as usize].iter().partition(|&&s| in_x[s as usize]);
                 // Replace block b with `inside`; create a new block with
                 // `outside`.
                 let new_id = blocks.len() as u32;
@@ -319,18 +474,25 @@ impl Dfa {
                 }
                 blocks[b as usize] = inside;
                 blocks.push(outside);
+                pending.extend([false; 2]);
+                hits.push(0);
                 for wbit in 0..2 {
                     // Standard refinement bookkeeping: if b was pending,
                     // both halves are now pending; otherwise add the
                     // smaller half.
-                    if worklist.contains(&(b, wbit)) {
-                        worklist.push_back((new_id, wbit));
-                    } else if blocks[b as usize].len() <= blocks[new_id as usize].len() {
-                        worklist.push_back((b, wbit));
+                    let add = if pending[2 * b as usize + wbit]
+                        || blocks[b as usize].len() > blocks[new_id as usize].len()
+                    {
+                        new_id
                     } else {
-                        worklist.push_back((new_id, wbit));
-                    }
+                        b
+                    };
+                    worklist.push_back((add, wbit));
+                    pending[2 * add as usize + wbit] = true;
                 }
+            }
+            for &s in &x {
+                in_x[s as usize] = false;
             }
         }
 
@@ -511,6 +673,31 @@ mod tests {
         Dfa::from_nfa(&Nfa::from_regex(re))
     }
 
+    /// The minimized machine for "ends in one of `patterns`" (oldest bit
+    /// first) built both ways: the paper path from the figure's regex, and
+    /// the window construction from the patterns as a `history`-bit cover
+    /// (shorter patterns padded with leading don't-cares).
+    fn minimized_both_ways(patterns: &[&[Option<bool>]], history: usize) -> [Dfa; 2] {
+        let re = Regex::ending_in(patterns.iter().map(|p| Regex::pattern(p)).collect());
+        let cubes = patterns
+            .iter()
+            .map(|p| {
+                let mut cube = fsmgen_logicmin::Cube::universe();
+                for (back, lit) in p.iter().rev().enumerate() {
+                    if let Some(bit) = lit {
+                        cube = cube.with_var(back, *bit);
+                    }
+                }
+                cube
+            })
+            .collect();
+        let cover = Cover::from_cubes(history, cubes);
+        [
+            dfa_for(&re).minimized(),
+            Dfa::from_cover(&cover, history).minimized(),
+        ]
+    }
+
     #[test]
     fn subset_construction_matches_nfa() {
         let re = Regex::ending_in(vec![
@@ -546,14 +733,13 @@ mod tests {
         // The §4.2 trace t yields predict-1 histories {01, 10, 11} at N=2.
         // Figure 1: the minimized machine has 5 states including start-up
         // states; removing them leaves 3 states.
-        let re = Regex::ending_in(vec![
-            Regex::pattern(&[Some(true), None]),
-            Regex::pattern(&[None, Some(true)]),
-        ]);
-        let min = dfa_for(&re).minimized();
-        assert_eq!(min.num_states(), 5, "with start-up states");
-        let reduced = min.steady_state_reduced();
-        assert_eq!(reduced.num_states(), 3, "after start state removal");
+        let [paper, window] = minimized_both_ways(&[&[Some(true), None], &[None, Some(true)]], 2);
+        assert_eq!(window, paper, "window construction equals the paper path");
+        for min in [paper, window] {
+            assert_eq!(min.num_states(), 5, "with start-up states");
+            let reduced = min.steady_state_reduced();
+            assert_eq!(reduced.num_states(), 3, "after start state removal");
+        }
     }
 
     #[test]
@@ -582,15 +768,18 @@ mod tests {
         // Figure 6: the ijpeg FSM capturing "1x" — from ANY state, applying
         // 1 then anything lands on an output-1 state; 0 then anything lands
         // on output-0.
-        let re = Regex::ending_in(vec![Regex::pattern(&[Some(true), None])]);
-        let fsm = dfa_for(&re).minimized().steady_state_reduced();
-        assert_eq!(fsm.num_states(), 4, "paper shows a 4-state machine");
-        for s in 0..fsm.num_states() as u32 {
-            for second in [false, true] {
-                let end1 = fsm.step(fsm.step(s, true), second);
-                assert!(fsm.output(end1), "1x must predict 1 from state {s}");
-                let end0 = fsm.step(fsm.step(s, false), second);
-                assert!(!fsm.output(end0), "0x must predict 0 from state {s}");
+        let [paper, window] = minimized_both_ways(&[&[Some(true), None]], 2);
+        assert_eq!(window, paper, "window construction equals the paper path");
+        for min in [paper, window] {
+            let fsm = min.steady_state_reduced();
+            assert_eq!(fsm.num_states(), 4, "paper shows a 4-state machine");
+            for s in 0..fsm.num_states() as u32 {
+                for second in [false, true] {
+                    let end1 = fsm.step(fsm.step(s, true), second);
+                    assert!(fsm.output(end1), "1x must predict 1 from state {s}");
+                    let end0 = fsm.step(fsm.step(s, false), second);
+                    assert!(!fsm.output(end0), "0x must predict 0 from state {s}");
+                }
             }
         }
     }
@@ -599,23 +788,31 @@ mod tests {
     fn figure7_pattern_from_any_state() {
         // Figure 7: the gs FSM capturing 0x1x | 0xx1x (11 states in the
         // paper). From any state, traversing a matching pattern ends on 1.
-        let re = Regex::ending_in(vec![
-            Regex::pattern(&[Some(false), None, Some(true), None]),
-            Regex::pattern(&[Some(false), None, None, Some(true), None]),
-        ]);
-        let fsm = dfa_for(&re).minimized().steady_state_reduced();
-        assert_eq!(fsm.num_states(), 11, "paper shows an 11-state machine");
-        // Check the 4-bit pattern property from every state.
-        for s in 0..fsm.num_states() as u32 {
-            for v in 0..16u32 {
-                let walk = [v & 8 != 0, v & 4 != 0, v & 2 != 0, v & 1 != 0];
-                let mut cur = s;
-                for b in walk {
-                    cur = fsm.step(cur, b);
-                }
-                let matches_0x1x = !walk[0] && walk[2];
-                if matches_0x1x {
-                    assert!(fsm.output(cur), "0x1x from state {s} must predict 1");
+        // The 4-bit pattern is padded to the 5-bit window, so the two
+        // machines differ on 4-bit inputs but not in steady state.
+        let machines = minimized_both_ways(
+            &[
+                &[Some(false), None, Some(true), None],
+                &[Some(false), None, None, Some(true), None],
+            ],
+            5,
+        );
+        let [paper, window] = machines.map(|min| min.steady_state_reduced());
+        assert_eq!(window, paper, "same steady-state machine both ways");
+        for fsm in [paper, window] {
+            assert_eq!(fsm.num_states(), 11, "paper shows an 11-state machine");
+            // Check the 4-bit pattern property from every state.
+            for s in 0..fsm.num_states() as u32 {
+                for v in 0..16u32 {
+                    let walk = [v & 8 != 0, v & 4 != 0, v & 2 != 0, v & 1 != 0];
+                    let mut cur = s;
+                    for b in walk {
+                        cur = fsm.step(cur, b);
+                    }
+                    let matches_0x1x = !walk[0] && walk[2];
+                    if matches_0x1x {
+                        assert!(fsm.output(cur), "0x1x from state {s} must predict 1");
+                    }
                 }
             }
         }

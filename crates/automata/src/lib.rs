@@ -4,7 +4,9 @@
 //! §4.5–4.7): regular expressions over the binary alphabet, Thompson NFA
 //! construction, subset construction to a DFA, Hopcroft minimization,
 //! start-state (steady-state) reduction, and a runnable Moore-machine
-//! predictor.
+//! predictor. [`Dfa::from_cover`] builds the history-window DFA for a
+//! cover directly; it minimizes to the same machine as the regex → NFA →
+//! subset-construction path.
 //!
 //! # Examples
 //!

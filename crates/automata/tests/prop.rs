@@ -6,6 +6,7 @@
 use fsmgen_automata::{
     compile_patterns, machine_from_table, machine_to_table, Dfa, MoorePredictor, Nfa, Regex,
 };
+use fsmgen_logicmin::{Cover, Cube};
 use proptest::prelude::*;
 
 /// Strategy for small random regexes.
@@ -34,6 +35,38 @@ fn patterns_strategy() -> impl Strategy<Value = Vec<Vec<Option<bool>>>> {
         ),
         1..=3,
     )
+}
+
+/// Strategy for non-empty covers of width 1..=8: up to 6 random cubes.
+fn cover_strategy() -> impl Strategy<Value = Cover> {
+    (1usize..=8).prop_flat_map(|width| {
+        let limit = 1u32 << width;
+        proptest::collection::vec((0..limit, 0..limit), 1..=6).prop_map(move |cubes| {
+            Cover::from_cubes(
+                width,
+                cubes
+                    .into_iter()
+                    .map(|(mask, bits)| Cube::new(mask, bits))
+                    .collect(),
+            )
+        })
+    })
+}
+
+/// The paper path for a cover, as the designer writes it: one pattern per
+/// cube, oldest bit (the highest variable) first, then Thompson NFA, subset
+/// construction and Hopcroft.
+fn paper_path(cover: &Cover) -> Dfa {
+    let width = cover.width();
+    let alts = cover
+        .cubes()
+        .iter()
+        .map(|cube| {
+            let pattern: Vec<Option<bool>> = (0..width).rev().map(|var| cube.var(var)).collect();
+            Regex::pattern(&pattern)
+        })
+        .collect();
+    Dfa::from_nfa(&Nfa::from_regex(&Regex::ending_in(alts))).minimized()
 }
 
 fn to_bits(v: u32, len: usize) -> Vec<bool> {
@@ -175,5 +208,17 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The window construction minimizes to the paper path's machine, both
+    /// before and after start-state reduction.
+    #[test]
+    fn window_construction_matches_paper_path(cover in cover_strategy()) {
+        let paper = paper_path(&cover);
+        let window = Dfa::from_cover(&cover, cover.width());
+        prop_assert_eq!(window.num_states(), (2usize << cover.width()) - 1);
+        let window = window.minimized();
+        prop_assert_eq!(&window, &paper);
+        prop_assert_eq!(window.steady_state_reduced(), paper.steady_state_reduced());
     }
 }

@@ -17,8 +17,9 @@ use std::time::Instant;
 /// unlimited, making the budgeted flow identical to the plain one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DesignBudget {
-    /// Maximum DFA states subset construction may materialize (also caps
-    /// the steady-state reduction iteration).
+    /// Maximum DFA states the designer may materialize: the history-window
+    /// machine's `2^(h+1) − 1` states, checked before it is built (also
+    /// caps the steady-state reduction iteration).
     pub max_dfa_states: Option<usize>,
     /// Maximum Thompson NFA states.
     pub max_nfa_states: Option<usize>,

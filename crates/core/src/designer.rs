@@ -331,15 +331,22 @@ impl Designer {
                 (constant.clone(), constant)
             }
             Some(re) => {
+                // The Thompson NFA is still built so the `nfa` stage keeps
+                // its budget, failpoint and profile span, but the machine
+                // comes straight from the cover: the window construction
+                // accepts the regex's language, and Hopcroft's output is
+                // the unique minimal DFA in canonical numbering, so the
+                // minimized machine equals the paper path's.
                 consult_failpoint("nfa")?;
-                let nfa = {
+                {
                     let _stage = obs::span("nfa");
-                    Nfa::from_regex_checked(re, &automata_budget).map_err(budget_failure("nfa"))?
-                };
+                    Nfa::from_regex_checked(re, &automata_budget).map_err(budget_failure("nfa"))?;
+                }
                 consult_failpoint("dfa")?;
                 let dfa = {
                     let _stage = obs::span("dfa");
-                    Dfa::from_nfa_checked(&nfa, &automata_budget).map_err(budget_failure("dfa"))?
+                    Dfa::from_cover_checked(&cover, order, &automata_budget)
+                        .map_err(budget_failure("dfa"))?
                 };
                 consult_failpoint("hopcroft")?;
                 let minimized = {
@@ -479,7 +486,7 @@ pub struct Design {
 
 impl Design {
     /// Reassembles a design from its stage artifacts — the
-    /// deserialization path (e.g. the farm's persistent cache snapshots).
+    /// deserialization path (e.g. the farm's durable design store).
     ///
     /// The designer itself builds designs through the pipeline; this
     /// constructor trusts the caller that the artifacts belong together

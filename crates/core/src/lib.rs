@@ -12,8 +12,11 @@
 //!    sum-of-products cover (via [`fsmgen_logicmin`]);
 //! 4. **Regular expression building** — each cube becomes a pattern, and
 //!    the language is "anything ending in one of these patterns";
-//! 5. **FSM creation** — Thompson NFA, subset construction, Hopcroft
-//!    minimization (via [`fsmgen_automata`]);
+//! 5. **FSM creation** — the history-window DFA built straight from the
+//!    cover, then Hopcroft minimization (via [`fsmgen_automata`]). The
+//!    regex's Thompson NFA is still built for its budget check; Hopcroft
+//!    turns the window DFA into exactly the machine the paper's subset
+//!    construction gives;
 //! 6. **Start state reduction** — remove start-up states, keeping only the
 //!    steady-state machine.
 //!

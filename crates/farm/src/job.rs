@@ -18,6 +18,15 @@ use std::sync::Arc;
 /// [`DesignJob::fingerprint`] (an arbitrary odd constant).
 const VERIFY_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// Version of the rule that decides where a `max_dfa_states` budget
+/// degrades a design. Version 2 charges the budget for the whole
+/// history-window machine (`2^(h+1) − 1` states); version 1 charged the
+/// states subset construction reached, so a budgeted job can land on a
+/// different rung under each. Mixing this word into budgeted digests keeps
+/// a store written under version 1 from serving those jobs; unbudgeted
+/// fingerprints carry no version and are unchanged.
+const DFA_BUDGET_RULES: u64 = 2;
+
 /// The behaviour input a job designs from.
 #[derive(Debug, Clone)]
 pub enum JobInput {
@@ -140,6 +149,9 @@ impl DesignJob {
         h.write_opt_usize(budget.max_minterms);
         h.write_opt_usize(budget.max_primes);
         h.write_opt_usize(budget.max_cover_nodes);
+        if budget.max_dfa_states.is_some() {
+            h.write_u64(DFA_BUDGET_RULES);
+        }
 
         Some(h.finish())
     }
@@ -185,6 +197,24 @@ mod tests {
         for v in &variants {
             assert_ne!(base.fingerprint(), v.fingerprint());
         }
+    }
+
+    #[test]
+    fn only_dfa_budgeted_fingerprints_moved_with_the_window_rule() {
+        // Digests under version 1 of the `max_dfa_states` rule.
+        let unbudgeted = DesignJob::from_trace(0, trace(), Designer::new(2));
+        assert_eq!(unbudgeted.fingerprint(), Some(0x564e_2e6f_7c22_6a38));
+        assert_eq!(unbudgeted.verify_hash(), Some(0x822e_b398_fd6e_1ea9));
+        let budgeted = DesignJob::from_trace(
+            0,
+            trace(),
+            Designer::new(2).budget(DesignBudget {
+                max_dfa_states: Some(64),
+                ..DesignBudget::default()
+            }),
+        );
+        assert_ne!(budgeted.fingerprint(), Some(0x78dd_2e7e_ecec_b1b9));
+        assert_ne!(budgeted.verify_hash(), Some(0x8d71_41ee_1a54_fd48));
     }
 
     #[test]
